@@ -2,10 +2,10 @@
 //! harness; run with `cargo bench --bench prover`.
 //!
 //! Three costs matter in a campaign: certifying a provable error (paid
-//! once per certified abort), *failing* to certify a testable error (the
-//! overhead `--prove-untestable` adds to every genuine abort), and
-//! re-checking a certificate (what a consumer of the proof pays to trust
-//! it). The provable/testable specimens are discovered by scanning the
+//! once per certified error), *failing* to certify a testable error (the
+//! overhead the prover adds to every genuine abort), and re-checking a
+//! certificate (what every trust boundary — generation, checkpoint
+//! resume, the service merge — pays to trust it). The provable/testable specimens are discovered by scanning the
 //! DLX `AllBits` error-stage population with the prover itself, so the
 //! set keeps working if the enumeration order moves.
 

@@ -24,6 +24,12 @@ use hltg_core::jsonv::{self, Value};
 use std::collections::BTreeMap;
 
 const PHASES: [&str; 3] = ["dptrace", "ctrljust", "dprelax"];
+/// The metrics-stream schema this tool reads. Version 2 dropped the
+/// `redundant` keys: structural redundancy is a `proven_untestable`
+/// record whose reason is `constant_line`.
+const SCHEMA_VERSION: u64 = 2;
+/// Proof kinds, as they appear in a proven record's `reason`.
+const PROOF_KINDS: [&str; 3] = ["constant_line", "no_propagation_path", "ctrl_refuted"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,7 +105,6 @@ fn parse_metrics(text: &str) -> Result<Timeline, String> {
                 "class",
                 "outcome",
                 "reason",
-                "redundant",
                 "by_simulation",
                 "round",
                 "detected_cycle",
@@ -113,7 +118,6 @@ fn parse_metrics(text: &str) -> Result<Timeline, String> {
                 "aborted",
                 "proven_untestable",
                 "retried",
-                "redundant",
                 "coverage_pct",
                 "decisions",
                 "backtracks",
@@ -151,6 +155,12 @@ fn parse_metrics(text: &str) -> Result<Timeline, String> {
     let summary = summary.ok_or("no summary event")?;
     if meta.get_str("stream") != Some("metrics") {
         return Err("meta event is not a metrics stream".into());
+    }
+    if meta.get_u64("version") != Some(SCHEMA_VERSION) {
+        return Err(format!(
+            "metrics schema version {:?}, this tool reads version {SCHEMA_VERSION}",
+            meta.get_u64("version")
+        ));
     }
     Ok(Timeline {
         meta,
@@ -372,11 +382,25 @@ fn render_markdown(t: &Timeline) {
         t.summary.get_u64("test_set_size").unwrap_or(0),
     );
     if proven > 0 {
+        let by_kind: Vec<String> = PROOF_KINDS
+            .iter()
+            .map(|kind| {
+                let n = t
+                    .recs
+                    .iter()
+                    .filter(|r| {
+                        r.get_str("outcome") == Some("proven_untestable")
+                            && r.get_str("reason") == Some(kind)
+                    })
+                    .count();
+                format!("{n} {kind}")
+            })
+            .collect();
         println!();
         println!(
-            "{proven} errors proven untestable by the bounded implication \
-             prover (certified: no activating/propagating sequence exists \
-             within the proof window)."
+            "{proven} errors proven untestable ({}): each carries a checked \
+             certificate and leaves the testable-coverage denominator.",
+            by_kind.join(", ")
         );
     }
 

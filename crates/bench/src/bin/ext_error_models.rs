@@ -9,7 +9,7 @@
 //!         [--design NAME] [--json] [--trace-out PATH] [--progress]
 //!         [--metrics-out PATH]
 //!         [--resume PATH] [--no-sim-cache] [--no-packed-screen]
-//!         [--prove-untestable] [--prove-frames K]`
+//!         [--prove-frames K]`
 //!
 //! `--design NAME` selects the processor backend (default `dlx`) from
 //! the process-wide [`hltg_netlist::registry`].
@@ -27,9 +27,9 @@
 //! and, on re-run, skips the errors the file already holds (see DESIGN.md
 //! §Resilience) — the cross-coverage grading then reuses the restored
 //! test set and reproduces the identical report.
-//! `--prove-untestable` runs the untestability prover on aborted errors
-//! (certified proofs reclassify them as `proven_untestable`);
-//! `--prove-frames K` bounds the proof window (default 8 pipeframes).
+//! The untestability prover always runs (certified errors are reported
+//! as `proven_untestable`); `--prove-frames K` bounds the window of its
+//! bounded layer (default 8 pipeframes).
 
 use hltg_core::tg::Outcome;
 use hltg_core::{Campaign, CampaignConfig, RunOptions};
@@ -42,7 +42,6 @@ fn main() {
     let progress = args.iter().any(|a| a == "--progress");
     let no_sim_cache = args.iter().any(|a| a == "--no-sim-cache");
     let no_packed_screen = args.iter().any(|a| a == "--no-packed-screen");
-    let prove_untestable = args.iter().any(|a| a == "--prove-untestable");
     let prove_frames_pos = args.iter().position(|a| a == "--prove-frames");
     let prove_frames: Option<usize> = prove_frames_pos
         .and_then(|i| args.get(i + 1))
@@ -101,7 +100,6 @@ fn main() {
             sim_cache: !no_sim_cache,
             packed_screen: !no_packed_screen,
             checkpoint: resume.map(std::path::PathBuf::from),
-            prove_untestable,
             prove_frames: prove_frames.unwrap_or(defaults.prove_frames),
             ..defaults
         },

@@ -122,7 +122,14 @@ fn parse_trace(text: &str) -> Result<Vec<Event>, String> {
             "hist" => &["phase", "metric", "buckets"],
             "summary" => {
                 kinds.2 = true;
-                &["errors", "spans", "detected", "aborted", "screened"]
+                &[
+                    "errors",
+                    "spans",
+                    "detected",
+                    "aborted",
+                    "proven_untestable",
+                    "screened",
+                ]
             }
             other => return Err(format!("line {}: unknown event kind {other:?}", lineno + 1)),
         };
@@ -229,11 +236,13 @@ fn render(events: &[Event]) {
 
     if let Some(s) = summary {
         println!(
-            "campaign: {} errors, {} generated spans, {} detected, {} aborted, {} screened by simulation",
+            "campaign: {} errors, {} generated spans, {} detected, {} aborted, \
+             {} proven untestable before search, {} screened by simulation",
             s.get_u64("errors").unwrap_or(0),
             s.get_u64("spans").unwrap_or(0),
             s.get_u64("detected").unwrap_or(0),
             s.get_u64("aborted").unwrap_or(0),
+            s.get_u64("proven_untestable").unwrap_or(0),
             s.get_u64("screened").unwrap_or(0),
         );
     }

@@ -9,7 +9,7 @@
 //!         [--metrics-out PATH] [--metrics-every N] [--metrics-full]
 //!         [--resume PATH] [--retry N] [--max-steps N]
 //!         [--soft-deadline-ms MS] [--chaos-panic PERMILLE]
-//!         [--chaos-seed S] [--prove-untestable] [--prove-frames K]`
+//!         [--chaos-seed S] [--prove-frames K]`
 //!
 //! `--design NAME` selects the processor backend (default `dlx`) from
 //! the process-wide [`hltg_netlist::registry`]; `--list-designs` prints
@@ -46,10 +46,12 @@
 //! `--chaos-seed S`) deterministically injects panics into the engine
 //! phases to exercise the isolation machinery.
 //!
-//! `--prove-untestable` runs the untestability prover on every error the
-//! generator aborts: a certified proof reclassifies the error as
+//! The untestability prover always runs: its frame-independent layers
+//! certify errors before any search, and its bounded layer tries every
+//! error the generator aborts. A certified error is reported as
 //! `proven_untestable` (excluded from testable coverage, skipped by the
-//! retry rounds); `--prove-frames K` bounds the proof window (default 8
+//! retry rounds, broken down by proof kind in the table);
+//! `--prove-frames K` bounds the bounded layer's window (default 8
 //! pipeframes).
 //!
 //! Reuse flags (see DESIGN.md §Campaign-level reuse): this binary runs
@@ -93,7 +95,6 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let progress = args.iter().any(|a| a == "--progress");
     let metrics_full = args.iter().any(|a| a == "--metrics-full");
-    let prove_untestable = args.iter().any(|a| a == "--prove-untestable");
     // Value-carrying flags: record the value's position so the positional
     // limit scan below can skip it.
     let mut value_positions: Vec<usize> = Vec::new();
@@ -168,7 +169,6 @@ fn main() {
     if let Some(ms) = soft_deadline_ms {
         config.soft_deadline = Some(Duration::from_millis(ms));
     }
-    config.prove_untestable = prove_untestable;
     if let Some(k) = prove_frames {
         config.prove_frames = k;
     }

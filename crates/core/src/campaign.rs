@@ -4,15 +4,17 @@
 use crate::chaos::{ChaosConfig, ChaosProbe};
 use crate::checkpoint::{CheckpointEntry, CheckpointLog};
 use crate::flight::{FlightRecorder, MetricsTimeline};
-use crate::instrument::{json_f64, Counter, CounterSnapshot, Counters, MultiProbe, Probe};
+use crate::instrument::{
+    json_f64, Counter, CounterDelta, CounterSnapshot, Counters, MultiProbe, Probe, SpanEnd,
+};
+use crate::prover::{invariant_bits, prove_invariant, prove_untestable, ProveConfig};
 use crate::tg::{panic_payload, AbortReason, Outcome, TestCase, TestGenerator, TgConfig};
 use crate::trace::{TraceSnapshot, Tracer};
-use hltg_errors::{
-    collapse_errors, enumerate_stage_errors, is_structurally_redundant, BusSslError, EnumPolicy,
-};
+use hltg_errors::{collapse_errors, enumerate_stage_errors, BusSslError, EnumPolicy};
 use hltg_netlist::model::ProcessorModel;
-use hltg_netlist::Stage;
+use hltg_netlist::{Design, Stage};
 use hltg_sim::{BatchScreen, Injection, Machine, PackedScreen, Schedule, MAX_LANES};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -84,13 +86,13 @@ pub struct CampaignConfig {
     /// Deterministic fault injection into the generator itself (used by
     /// the robustness tests and the chaos smoke run).
     pub chaos: Option<ChaosConfig>,
-    /// Untestability prover: after a round-0 abort, try to *prove* that no
-    /// activating/propagating sequence exists (see [`crate::prover`]).
-    /// Proven errors are recorded as [`Outcome::ProvenUntestable`] with a
-    /// checkable certificate, leave the testable-coverage denominator, and
-    /// never consume retry rounds. Off by default.
-    pub prove_untestable: bool,
-    /// Frame window for the prover's bounded controller refutations.
+    /// Frame window for the untestability prover's bounded controller
+    /// refutations. The prover always runs (see [`crate::prover`]): its
+    /// frame-independent layers certify errors before any search, and its
+    /// bounded layer tries every round-0 abort. Proven errors are
+    /// recorded as [`Outcome::ProvenUntestable`] with a checkable
+    /// certificate, leave the testable-coverage denominator, and never
+    /// consume retry rounds.
     pub prove_frames: usize,
 }
 
@@ -112,7 +114,6 @@ impl Default for CampaignConfig {
             soft_deadline: None,
             checkpoint: None,
             chaos: None,
-            prove_untestable: false,
             prove_frames: crate::prover::ProveConfig::default().frames,
         }
     }
@@ -152,13 +153,12 @@ impl CampaignConfig {
         cfg
     }
 
-    /// The prover configuration for round-0 aborts, when the prover is
-    /// enabled.
-    fn prove_config(&self) -> Option<crate::prover::ProveConfig> {
-        self.prove_untestable.then(|| crate::prover::ProveConfig {
+    /// The prover configuration for round-0 aborts.
+    fn prove_config(&self) -> ProveConfig {
+        ProveConfig {
             frames: self.prove_frames.max(1),
-            ..crate::prover::ProveConfig::default()
-        })
+            ..ProveConfig::default()
+        }
     }
 }
 
@@ -301,14 +301,6 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Untestability prover for aborted errors (see
-    /// [`CampaignConfig::prove_untestable`]).
-    #[must_use]
-    pub fn prove_untestable(mut self, on: bool) -> Self {
-        self.cfg.prove_untestable = on;
-        self
-    }
-
     /// Frame window for the prover's bounded refutations (`0` is
     /// normalized to `1` by the prover).
     #[must_use]
@@ -342,7 +334,7 @@ impl CampaignConfigBuilder {
 
 /// Retry-with-escalation for aborted errors.
 ///
-/// After the main pass, every still-aborted, non-redundant error is
+/// After the main pass, every still-aborted, unproven error is
 /// retried for up to `rounds` additional rounds. Round `r` multiplies the
 /// generator's search budgets (`max_variants`, `CTRLJUST` backtracks,
 /// `relax_iters`, and `max_steps` when set) by `escalate^r` and derives a
@@ -399,7 +391,10 @@ pub struct ErrorRecord {
     pub error: BusSslError,
     /// Generation outcome.
     pub outcome: Outcome,
-    /// Provably untestable (no behavioural difference exists).
+    /// Unused and always `false`: structural redundancy is certified as
+    /// [`Outcome::ProvenUntestable`] with a
+    /// [`crate::prover::ProofKind::ConstantLine`] proof. Kept only for
+    /// source compatibility; nothing reads it.
     pub redundant: bool,
     /// Detected by simulating a test generated for an *earlier* error
     /// (only with [`CampaignConfig::error_simulation`]); no generation ran.
@@ -422,8 +417,6 @@ pub struct CampaignStats {
     /// Errors the untestability prover certified as untestable (disjoint
     /// from `aborted`; each carries a checkable certificate).
     pub proven_untestable: usize,
-    /// Of the aborted: provably redundant (untestable by any sequence).
-    pub aborted_redundant: usize,
     /// Of the aborted: no datapath propagation path (observable only
     /// through the controller).
     pub aborted_no_path: usize,
@@ -464,16 +457,14 @@ impl CampaignStats {
     }
 
     /// Coverage over the *testable* population, the fairer comparison
-    /// point. Only errors with an actual untestability argument are
-    /// excluded: structurally redundant aborts (the stuck line provably
-    /// carries the stuck value) and prover-certified `proven_untestable`
-    /// records. A bare `no_path` abort is *not* excluded — the search
-    /// giving up at a finite window proves nothing about the design, and
-    /// counting it as untestable overstated this percentage on both
-    /// sides.
+    /// point. Only errors with an actual, checked untestability argument
+    /// are excluded: the prover-certified `proven_untestable` records. A
+    /// bare `no_path` abort is *not* excluded — the search giving up at a
+    /// finite window proves nothing about the design, and counting it as
+    /// untestable overstated this percentage on both sides.
     #[must_use]
     pub fn testable_coverage_pct(&self) -> f64 {
-        let testable = self.errors - self.aborted_redundant - self.proven_untestable;
+        let testable = self.errors - self.proven_untestable;
         if testable == 0 {
             0.0
         } else {
@@ -489,21 +480,14 @@ impl fmt::Display for CampaignStats {
         writeln!(f, "No. of errors aborted            {:>8}", self.aborted)?;
         writeln!(
             f,
-            "    of which provably redundant  {:>8}",
-            self.aborted_redundant
-        )?;
-        writeln!(
-            f,
             "    of which control-path only   {:>8}",
             self.aborted_no_path
         )?;
-        if self.proven_untestable > 0 {
-            writeln!(
-                f,
-                "No. of errors proven untestable  {:>8}",
-                self.proven_untestable
-            )?;
-        }
+        writeln!(
+            f,
+            "No. of errors proven untestable  {:>8}",
+            self.proven_untestable
+        )?;
         if self.aborted_panicked > 0 {
             writeln!(
                 f,
@@ -656,7 +640,6 @@ pub struct ShardStatus {
 
 /// Phase-1 result for one error, produced by a worker thread.
 struct WorkItem {
-    redundant: bool,
     seconds: f64,
     /// `None` when the worker screened the error against the shared test
     /// pool and skipped generation.
@@ -833,6 +816,9 @@ impl Campaign {
         let config = &config.normalized();
         let errors = Self::target_errors(model, config);
         probe.campaign_begin(errors.len());
+        let ckpt = Self::open_checkpoint(model, config, probe);
+        let ckpt = ckpt.as_ref();
+        let proven = Self::prove_before_search(model.design(), &errors, probe, ckpt);
         // Class representative of every error (its own index when
         // collapsing is off or the error stands alone).
         let class_of: Vec<usize> = if config.collapse {
@@ -847,32 +833,134 @@ impl Campaign {
             (0..errors.len()).collect()
         };
         let schedule = Schedule::build(model.design()).expect("design levelizes");
-        let ckpt = Self::open_checkpoint(model, config);
-        let ckpt = ckpt.as_ref();
         let threads = config.effective_threads().min(errors.len().max(1));
         let (mut campaign, deadline_exceeded) = if threads <= 1 {
             (
-                Self::run_serial(model, config, probe, &errors, &class_of, &schedule, ckpt),
+                Self::run_serial(
+                    model, config, probe, &errors, &class_of, &schedule, ckpt, proven,
+                ),
                 0,
             )
         } else {
-            Self::run_sharded(model, config, probe, &errors, &class_of, &schedule, threads, ckpt)
+            Self::run_sharded(
+                model, config, probe, &errors, &class_of, &schedule, threads, ckpt, proven,
+            )
         };
         Self::run_retries(model, config, probe, threads, &mut campaign, ckpt);
         (campaign, deadline_exceeded)
     }
 
-    /// Opens the configured checkpoint log, if any. An unusable file
-    /// (unreadable, or written under a different configuration or for a
-    /// different design) is *not* clobbered: the campaign warns and runs
-    /// without persistence.
+    /// Certifies, before any search, every error of `errors` that the
+    /// prover's frame-independent layers prove untestable: one
+    /// [`invariant_bits`] fixpoint per call, then a lookup and a cone walk
+    /// per error. Each certificate is re-checked before it is trusted. A
+    /// certified error opens and closes its span here, with no phases,
+    /// and is persisted to `ckpt` when the log lacks it, so the checkpoint
+    /// stays a complete per-error ledger. It never reaches the generator,
+    /// a screening candidate list or a retry round. Returns one slot per
+    /// error, `Some` with the finished record where a certificate holds.
+    fn prove_before_search(
+        design: &Design,
+        errors: &[BusSslError],
+        probe: &dyn Probe,
+        ckpt: Option<&CheckpointLog>,
+    ) -> Vec<Option<ErrorRecord>> {
+        let kb = invariant_bits(design);
+        errors
+            .iter()
+            .map(|error| {
+                let t0 = Instant::now();
+                probe.add(Counter::ProverCalls, 1);
+                let proof = prove_invariant(design, &kb, error)?;
+                if !proof.check(design, error) {
+                    probe.add(Counter::CertificatesRejected, 1);
+                    return None;
+                }
+                probe.add(Counter::ProverProofs, 1);
+                let id = u64::from(error.id.0);
+                probe.error_begin(error);
+                probe.error_end(
+                    id,
+                    SpanEnd {
+                        detected: false,
+                        proven: true,
+                        reason: proof.kind.name(),
+                        failed_phase: "",
+                        test_length: 0,
+                        detected_cycle: 0,
+                        backtracks: 0,
+                    },
+                );
+                let outcome = Outcome::ProvenUntestable(Box::new(proof));
+                let seconds = t0.elapsed().as_secs_f64();
+                if let Some(log) = ckpt.filter(|log| log.lookup(id, 0).is_none()) {
+                    // Resume re-derives these rather than replaying them,
+                    // so the entry carries no counter delta.
+                    log.record(
+                        id,
+                        0,
+                        &CheckpointEntry {
+                            outcome: outcome.clone(),
+                            redundant: false,
+                            seconds,
+                            counters: CounterDelta::default(),
+                        },
+                    );
+                }
+                Some(ErrorRecord {
+                    error: error.clone(),
+                    outcome,
+                    redundant: false,
+                    by_simulation: false,
+                    seconds,
+                    round: 0,
+                })
+            })
+            .collect()
+    }
+
+    /// Re-checks every certificate persisted in `log` against `model`'s
+    /// design and discards each one that fails, or that names no error of
+    /// `config`'s population, so that error is generated afresh instead
+    /// of trusted. A checkpoint read from disk is a trust boundary: a
+    /// corrupt `proven_untestable` entry would otherwise quietly shrink
+    /// the testable-coverage denominator. Returns the number discarded;
+    /// the log counts them among its unusable lines.
+    fn discard_unchecked_certificates(
+        model: &dyn ProcessorModel,
+        config: &CampaignConfig,
+        log: &mut CheckpointLog,
+    ) -> usize {
+        let design = model.design();
+        let population: HashMap<u64, BusSslError> =
+            enumerate_stage_errors(design, &config.stages, config.policy)
+                .into_iter()
+                .map(|e| (u64::from(e.id.0), e))
+                .collect();
+        log.discard_unless(|id, _round, entry| match &entry.outcome {
+            Outcome::ProvenUntestable(proof) => population
+                .get(&id)
+                .is_some_and(|error| proof.check(design, error)),
+            _ => true,
+        })
+    }
+
+    /// Opens the configured checkpoint log, if any, and discards every
+    /// persisted certificate that fails its re-check (counted in
+    /// [`Counter::CertificatesRejected`]). An unusable file (unreadable,
+    /// or written under a different configuration or for a different
+    /// design) is *not* clobbered: the campaign warns and runs without
+    /// persistence.
     fn open_checkpoint(
         model: &dyn ProcessorModel,
         config: &CampaignConfig,
+        probe: &dyn Probe,
     ) -> Option<CheckpointLog> {
         let path = config.checkpoint.as_ref()?;
         match CheckpointLog::open(path, &Self::checkpoint_fingerprint(model, config)) {
             Ok(mut log) => {
+                let rejected = Self::discard_unchecked_certificates(model, config, &mut log);
+                probe.add(Counter::CertificatesRejected, rejected as u64);
                 if let Some(io) = config.chaos.as_ref().and_then(ChaosConfig::checkpoint_io) {
                     log.set_io_chaos(io);
                 }
@@ -908,8 +996,8 @@ impl Campaign {
     #[must_use]
     pub fn checkpoint_fingerprint(model: &dyn ProcessorModel, config: &CampaignConfig) -> String {
         format!(
-            "v7 design={} width={} stages={:?} policy={:?} sim={} collapse={} \
-             simcache={} packed={} tg={:?} retry={}x{} chaos={:?} prove={}x{}",
+            "v8 design={} width={} stages={:?} policy={:?} sim={} collapse={} \
+             simcache={} packed={} tg={:?} retry={}x{} chaos={:?} prove_frames={}",
             model.name(),
             model.data_width(),
             config.stages,
@@ -922,7 +1010,6 @@ impl Campaign {
             config.retry.rounds,
             config.retry.escalate,
             config.chaos,
-            config.prove_untestable,
             config.prove_frames,
         )
     }
@@ -946,17 +1033,16 @@ impl Campaign {
         error: &BusSslError,
         ckpt: Option<&CheckpointLog>,
         round: u32,
-        redundant: bool,
-        prove: Option<crate::prover::ProveConfig>,
+        prove: Option<ProveConfig>,
     ) -> (Outcome, f64) {
         let id = u64::from(error.id.0);
         if let Some(entry) = ckpt.and_then(|log| log.lookup(id, round)) {
-            // A persisted `proven_untestable` entry replays its proof —
-            // resume never re-proves.
+            // A persisted `proven_untestable` entry replays its proof,
+            // re-checked when the log was opened — resume never re-proves.
             entry.counters.replay(probe);
             return (entry.outcome, entry.seconds);
         }
-        Self::generate_uncached(tg, capture, error, ckpt, round, redundant, prove)
+        Self::generate_uncached(tg, capture, error, ckpt, round, prove)
     }
 
     /// The generation half of [`Campaign::generate_checkpointed`]: always
@@ -973,8 +1059,7 @@ impl Campaign {
         error: &BusSslError,
         ckpt: Option<&CheckpointLog>,
         round: u32,
-        redundant: bool,
-        prove: Option<crate::prover::ProveConfig>,
+        prove: Option<ProveConfig>,
     ) -> (Outcome, f64) {
         let id = u64::from(error.id.0);
         let before = capture.raw();
@@ -997,15 +1082,18 @@ impl Campaign {
                 },
             };
         // Round-0 aborts face the untestability prover before anything
-        // else sees them: a proof turns the abort into a certified
-        // `ProvenUntestable` (persisted below, so resume skips the
-        // prover), and the retry machinery filters on the outcome.
+        // else sees them: a proof that re-checks turns the abort into a
+        // certified `ProvenUntestable` (persisted below, so resume skips
+        // the prover), and the retry machinery filters on the outcome. A
+        // proof that fails its check leaves the abort standing.
         if let (Some(pcfg), Outcome::Aborted { .. }) = (prove, &outcome) {
-            if let Some(proof) =
-                crate::prover::prove_untestable(tg.model().design(), error, pcfg, tg.probe())
-            {
-                debug_assert!(proof.check(tg.model().design(), error));
-                outcome = Outcome::ProvenUntestable(Box::new(proof));
+            let design = tg.model().design();
+            if let Some(proof) = prove_untestable(design, error, pcfg, tg.probe()) {
+                if proof.check(design, error) {
+                    outcome = Outcome::ProvenUntestable(Box::new(proof));
+                } else {
+                    tg.probe().add(Counter::CertificatesRejected, 1);
+                }
             }
         }
         let seconds = t0.elapsed().as_secs_f64();
@@ -1015,7 +1103,7 @@ impl Campaign {
                 round,
                 &CheckpointEntry {
                     outcome: outcome.clone(),
-                    redundant,
+                    redundant: false,
                     seconds,
                     counters: capture.raw().minus(&before),
                 },
@@ -1081,8 +1169,8 @@ impl Campaign {
     ) -> ShardStatus {
         let config = config.normalized();
         let errors = Self::target_errors(model, &config);
-        let start = range.start.min(errors.len());
         let end = range.end.min(errors.len());
+        let start = range.start.min(end);
         let chaos = config.chaos.clone().map(ChaosProbe::new);
         let probe: &dyn Probe = match &chaos {
             Some(c) => c,
@@ -1091,6 +1179,8 @@ impl Campaign {
         let capture = Counters::new();
         let tg_probe = Self::capture_probe(&capture, probe);
         let mut tg = TestGenerator::with_probe(model, config.tg.clone(), &tg_probe);
+        let proven =
+            Self::prove_before_search(model.design(), &errors[start..end], probe, Some(ckpt));
         let mut status = ShardStatus::default();
         for (i, error) in errors.iter().enumerate().take(end).skip(start) {
             let id = u64::from(error.id.0);
@@ -1098,32 +1188,34 @@ impl Campaign {
                 status.stopped = true;
                 return status;
             }
+            if let Some(record) = &proven[i - start] {
+                status.completed += 1;
+                observer.after_error(i, id, &record.outcome, 0, false);
+                continue;
+            }
             if let Some(done) = Self::chain_complete(ckpt, id, &config.retry) {
                 status.completed += 1;
                 status.resumed += 1;
                 observer.after_error(i, id, &done.outcome, 0, true);
                 continue;
             }
-            let redundant = is_structurally_redundant(model.design(), error);
             let (mut outcome, _) = Self::generate_uncached(
                 &mut tg,
                 &capture,
                 error,
                 Some(ckpt),
                 0,
-                redundant,
-                config.prove_config(),
+                Some(config.prove_config()),
             );
             observer.after_error(i, id, &outcome, 0, false);
             // The retry chain, eagerly: the finalizing merge retries every
-            // still-aborted non-redundant record, and its targets are a
-            // subset of the errors retried here (screening only removes
-            // targets), so every retry round the merge will look up is
-            // already persisted and replays instead of regenerating with
+            // still-aborted unproven record, and its targets are a subset
+            // of the errors retried here (screening only removes targets),
+            // so every retry round the merge will look up is already
+            // persisted and replays instead of regenerating with
             // out-of-line chaos visit counts.
             let mut round = 0;
             while round < config.retry.rounds
-                && !redundant
                 && !outcome.is_detected()
                 && !outcome.is_proven_untestable()
             {
@@ -1136,7 +1228,6 @@ impl Campaign {
                     error,
                     Some(ckpt),
                     round,
-                    false,
                     None,
                 );
                 observer.after_error(i, id, &outcome, round, false);
@@ -1158,7 +1249,7 @@ impl Campaign {
         retry: &RetryPolicy,
     ) -> Option<CheckpointEntry> {
         let e0 = ckpt.lookup(id, 0)?;
-        if e0.redundant || e0.outcome.is_detected() || e0.outcome.is_proven_untestable() {
+        if e0.outcome.is_detected() || e0.outcome.is_proven_untestable() {
             return Some(e0);
         }
         for round in 1..=retry.rounds {
@@ -1179,37 +1270,26 @@ impl Campaign {
         class_of: &[usize],
         schedule: &Schedule,
         ckpt: Option<&CheckpointLog>,
+        proven: Vec<Option<ErrorRecord>>,
     ) -> Campaign {
         let capture = Counters::new();
         let tg_probe = Self::capture_probe(&capture, probe);
         let mut tg = TestGenerator::with_probe(model, config.tg.clone(), &tg_probe);
-        let mut records: Vec<Option<ErrorRecord>> = vec![None; errors.len()];
+        let mut records = proven;
         for i in 0..errors.len() {
             if records[i].is_some() {
-                continue; // already covered by error simulation
+                continue; // proven before search, or covered by error simulation
             }
             let error = errors[i].clone();
-            let id = u64::from(error.id.0);
-            let (redundant, outcome, seconds) = match ckpt.and_then(|log| log.lookup(id, 0)) {
-                Some(entry) => {
-                    entry.counters.replay(probe);
-                    (entry.redundant, entry.outcome, entry.seconds)
-                }
-                None => {
-                    let redundant = is_structurally_redundant(model.design(), &error);
-                    let (outcome, seconds) = Self::generate_checkpointed(
-                        &mut tg,
-                        &capture,
-                        probe,
-                        &error,
-                        ckpt,
-                        0,
-                        redundant,
-                        config.prove_config(),
-                    );
-                    (redundant, outcome, seconds)
-                }
-            };
+            let (outcome, seconds) = Self::generate_checkpointed(
+                &mut tg,
+                &capture,
+                probe,
+                &error,
+                ckpt,
+                0,
+                Some(config.prove_config()),
+            );
             if config.error_simulation || config.collapse {
                 if let Outcome::Detected(tc) = &outcome {
                     // Simulate the remaining screening candidates against
@@ -1242,7 +1322,7 @@ impl Campaign {
                             records[j] = Some(ErrorRecord {
                                 error: other.clone(),
                                 outcome: outcome.clone(),
-                                redundant: is_structurally_redundant(model.design(), other),
+                                redundant: false,
                                 by_simulation: true,
                                 seconds,
                                 round: 0,
@@ -1254,7 +1334,7 @@ impl Campaign {
             records[i] = Some(ErrorRecord {
                 error,
                 outcome,
-                redundant,
+                redundant: false,
                 by_simulation: false,
                 seconds,
                 round: 0,
@@ -1275,6 +1355,7 @@ impl Campaign {
         schedule: &Schedule,
         threads: usize,
         ckpt: Option<&CheckpointLog>,
+        proven: Vec<Option<ErrorRecord>>,
     ) -> (Campaign, usize) {
         let n = errors.len();
         let cursor = AtomicUsize::new(0);
@@ -1295,7 +1376,8 @@ impl Campaign {
         std::thread::scope(|s| {
             for _ in 0..threads {
                 let tx = tx.clone();
-                let (cursor, pool, deadline_left) = (&cursor, &pool, &deadline_left);
+                let (cursor, pool, deadline_left, proven) =
+                    (&cursor, &pool, &deadline_left, &proven);
                 s.spawn(move || {
                     let capture = Counters::new();
                     let tg_probe = Self::capture_probe(&capture, probe);
@@ -1323,8 +1405,10 @@ impl Campaign {
                         if i >= n {
                             break;
                         }
+                        if proven[i].is_some() {
+                            continue;
+                        }
                         let error = &errors[i];
-                        let redundant = is_structurally_redundant(model.design(), error);
                         if config.error_simulation || config.collapse {
                             let t0 = Instant::now();
                             {
@@ -1350,7 +1434,6 @@ impl Campaign {
                             if screened {
                                 probe.error_screened(u64::from(error.id.0), true);
                                 let item = WorkItem {
-                                    redundant,
                                     seconds: t0.elapsed().as_secs_f64(),
                                     outcome: None,
                                 };
@@ -1365,8 +1448,7 @@ impl Campaign {
                             error,
                             ckpt,
                             0,
-                            redundant,
-                            config.prove_config(),
+                            Some(config.prove_config()),
                         );
                         if config.error_simulation || config.collapse {
                             if let Outcome::Detected(tc) = &outcome {
@@ -1374,7 +1456,6 @@ impl Campaign {
                             }
                         }
                         let item = WorkItem {
-                            redundant,
                             seconds,
                             outcome: Some(outcome),
                         };
@@ -1392,21 +1473,20 @@ impl Campaign {
         // the precomputed outcomes. Generation is a pure function of the
         // seed and the error, so a precomputed outcome equals what the
         // sequential loop would have computed at this point.
-        let mut records: Vec<Option<ErrorRecord>> = vec![None; n];
+        let mut records = proven;
         let capture = Counters::new();
         let tg_probe = Self::capture_probe(&capture, probe);
         let mut tg = TestGenerator::with_probe(model, config.tg.clone(), &tg_probe);
         for i in 0..n {
             if records[i].is_some() {
-                continue; // covered by an earlier kept test
+                continue; // proven before search, or covered by an earlier kept test
             }
             // A missing slot means no worker finished this error — it was
             // never claimed (soft deadline) or its worker died before
             // sending (a panic that escaped every isolation layer).
             // Generation is pure, so generating here yields exactly what
             // the worker would have produced.
-            let item = slots[i].take().unwrap_or_else(|| WorkItem {
-                redundant: is_structurally_redundant(model.design(), &errors[i]),
+            let item = slots[i].take().unwrap_or(WorkItem {
                 seconds: 0.0,
                 outcome: None,
             });
@@ -1425,8 +1505,7 @@ impl Campaign {
                         &errors[i],
                         ckpt,
                         0,
-                        item.redundant,
-                        config.prove_config(),
+                        Some(config.prove_config()),
                     );
                     (o, item.seconds + s)
                 }
@@ -1440,7 +1519,7 @@ impl Campaign {
                             records[j].is_none() && (config.error_simulation || same_class)
                         })
                         .collect();
-                    let (records_ref, slots_ref) = (&mut records, &slots);
+                    let records_ref = &mut records;
                     screen_candidates(
                         model,
                         schedule,
@@ -1458,12 +1537,7 @@ impl Campaign {
                             records_ref[j] = Some(ErrorRecord {
                                 error: other.clone(),
                                 outcome: outcome.clone(),
-                                redundant: slots_ref[j]
-                                    .as_ref()
-                                    .map(|w| w.redundant)
-                                    .unwrap_or_else(|| {
-                                        is_structurally_redundant(model.design(), other)
-                                    }),
+                                redundant: false,
                                 by_simulation: true,
                                 seconds,
                                 round: 0,
@@ -1475,7 +1549,7 @@ impl Campaign {
             records[i] = Some(ErrorRecord {
                 error: errors[i].clone(),
                 outcome,
-                redundant: item.redundant,
+                redundant: false,
                 by_simulation: false,
                 seconds,
                 round: 0,
@@ -1489,7 +1563,7 @@ impl Campaign {
         )
     }
 
-    /// Re-runs still-aborted, non-redundant errors with escalated budgets
+    /// Re-runs still-aborted, unproven errors with escalated budgets
     /// per [`RetryPolicy`]. Rounds are sequential; within a round, errors
     /// shard over the worker pool (per-round generation stays pure, so
     /// the records remain identical for every thread count). Rounds stop
@@ -1507,11 +1581,7 @@ impl Campaign {
                 .records
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| {
-                    !r.redundant
-                        && !r.outcome.is_detected()
-                        && !r.outcome.is_proven_untestable()
-                })
+                .filter(|(_, r)| !r.outcome.is_detected() && !r.outcome.is_proven_untestable())
                 .map(|(i, _)| i)
                 .collect();
             if targets.is_empty() {
@@ -1554,9 +1624,7 @@ impl Campaign {
             return errors
                 .iter()
                 .map(|e| {
-                    Self::generate_checkpointed(
-                        &mut tg, &capture, probe, e, ckpt, round, false, None,
-                    )
+                    Self::generate_checkpointed(&mut tg, &capture, probe, e, ckpt, round, None)
                 })
                 .collect();
         }
@@ -1578,7 +1646,7 @@ impl Campaign {
                             break;
                         }
                         let result = Self::generate_checkpointed(
-                            &mut tg, &capture, probe, &errors[i], ckpt, round, false, None,
+                            &mut tg, &capture, probe, &errors[i], ckpt, round, None,
                         );
                         let _ = tx.send((i, result));
                     }
@@ -1598,7 +1666,7 @@ impl Campaign {
                     let tg_probe = Self::capture_probe(&capture, probe);
                     let mut tg = TestGenerator::with_probe(model, tg_cfg.clone(), &tg_probe);
                     Self::generate_checkpointed(
-                        &mut tg, &capture, probe, &errors[i], ckpt, round, false, None,
+                        &mut tg, &capture, probe, &errors[i], ckpt, round, None,
                     )
                 })
             })
@@ -1646,9 +1714,7 @@ impl Campaign {
                         AbortReason::StepBudget { .. } => s.aborted_step_budget += 1,
                         _ => {}
                     }
-                    if r.redundant {
-                        s.aborted_redundant += 1;
-                    } else if *reason == AbortReason::NoPath {
+                    if *reason == AbortReason::NoPath {
                         s.aborted_no_path += 1;
                     }
                 }
@@ -1712,20 +1778,27 @@ impl Campaign {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "aborted breakdown (this run): {} provably redundant, {} observable only \
-             through the controller, {} other",
-            s.aborted_redundant,
+            "aborted breakdown (this run): {} observable only through the \
+             controller, {} other",
             s.aborted_no_path,
-            s.aborted - s.aborted_redundant - s.aborted_no_path
+            s.aborted - s.aborted_no_path
         );
-        if s.proven_untestable > 0 {
-            let _ = writeln!(
-                out,
-                "untestability prover: {} errors certified untestable \
-                 (excluded from testable coverage)",
-                s.proven_untestable
-            );
-        }
+        let proven_of = |kind: &str| {
+            self.records
+                .iter()
+                .filter(
+                    |r| matches!(&r.outcome, Outcome::ProvenUntestable(p) if p.kind.name() == kind),
+                )
+                .count()
+        };
+        let _ = writeln!(
+            out,
+            "proven untestable (this run): {} constant_line, {} no_propagation_path, \
+             {} ctrl_refuted (certified; excluded from testable coverage)",
+            proven_of("constant_line"),
+            proven_of("no_propagation_path"),
+            proven_of("ctrl_refuted")
+        );
         if s.detected_by_simulation > 0 {
             let _ = writeln!(
                 out,
@@ -1777,15 +1850,13 @@ impl CampaignReport {
         let _ = write!(
             out,
             "\"errors\": {}, \"detected\": {}, \"aborted\": {}, \
-             \"proven_untestable\": {}, \
-             \"aborted_redundant\": {}, \"aborted_no_path\": {}, \
+             \"proven_untestable\": {}, \"aborted_no_path\": {}, \
              \"aborted_panicked\": {}, \"aborted_step_budget\": {}, \
              \"detected_after_retry\": {}, ",
             s.errors,
             s.detected,
             s.aborted,
             s.proven_untestable,
-            s.aborted_redundant,
             s.aborted_no_path,
             s.aborted_panicked,
             s.aborted_step_budget,
@@ -2197,7 +2268,7 @@ mod tests {
         let model = DlxModel::new();
         let base = CampaignConfig::default();
         let fp = Campaign::checkpoint_fingerprint(&model, &base);
-        assert!(fp.starts_with("v7 "), "fingerprint version bumped: {fp}");
+        assert!(fp.starts_with("v8 "), "fingerprint version bumped: {fp}");
         let collapse = CampaignConfig {
             collapse: true,
             ..base.clone()
@@ -2210,17 +2281,13 @@ mod tests {
             packed_screen: false,
             ..base.clone()
         };
-        let prover = CampaignConfig {
-            prove_untestable: true,
-            ..base.clone()
-        };
         let frames = CampaignConfig {
             prove_frames: base.prove_frames + 1,
             ..base.clone()
         };
         let mut no_memo = base.clone();
         no_memo.tg.ctrljust_memo = false;
-        for other in [&collapse, &no_sim_cache, &no_packed, &prover, &frames, &no_memo] {
+        for other in [&collapse, &no_sim_cache, &no_packed, &frames, &no_memo] {
             assert_ne!(
                 fp,
                 Campaign::checkpoint_fingerprint(&model, other),
@@ -2276,36 +2343,96 @@ mod tests {
         );
     }
 
+    /// Errors the invariant layers certify never reach the search: no
+    /// DPTRACE, CTRLJUST or DPRELAX phase is entered on their behalf,
+    /// yet each still opens and closes its span, with zero phases.
+    #[test]
+    fn pre_proven_errors_make_no_search_calls() {
+        struct PhaseCalls(std::sync::Mutex<HashMap<u64, u64>>);
+        impl Probe for PhaseCalls {
+            fn phase_enter(&self, id: u64, _p: crate::instrument::Phase) {
+                *self.0.lock().unwrap().entry(id).or_insert(0) += 1;
+            }
+        }
+        let lite = LiteModel::new();
+        let probe = PhaseCalls(std::sync::Mutex::new(HashMap::new()));
+        // Limit 57 reaches `set_seq.y[16]:sa0` (error 56), a constant line.
+        let run = Campaign::run(
+            &lite,
+            &CampaignConfig {
+                limit: Some(57),
+                error_simulation: true,
+                num_threads: 2,
+                ..CampaignConfig::default()
+            },
+            RunOptions {
+                trace: true,
+                probe: Some(&probe),
+                ..RunOptions::default()
+            },
+        );
+        let calls = probe.0.into_inner().unwrap();
+        let id_of = |r: &ErrorRecord| u64::from(r.error.id.0);
+        let proven: Vec<u64> = run
+            .campaign
+            .records
+            .iter()
+            .filter(|r| matches!(&r.outcome, Outcome::ProvenUntestable(p) if !p.is_bounded()))
+            .map(id_of)
+            .collect();
+        assert!(!proven.is_empty(), "the window holds a pre-proven error");
+        for id in &proven {
+            assert_eq!(
+                calls.get(id),
+                None,
+                "pre-proven error {id} entered the search"
+            );
+        }
+        assert!(
+            run.campaign.records.iter().any(|r| r.outcome.is_detected()
+                && !r.by_simulation
+                && calls.contains_key(&id_of(r))),
+            "the probe must see the search of generated errors"
+        );
+        let trace = run.trace.expect("trace requested");
+        for id in &proven {
+            let span = trace
+                .spans
+                .iter()
+                .find(|s| s.id == *id)
+                .expect("proven error has a span");
+            assert!(span.phase_calls.is_empty());
+            assert_eq!(span.reason, "constant_line");
+        }
+    }
+
     /// Pins both Table-1 percentages: overall coverage counts every
     /// enumerated error, while testable coverage excludes only errors
-    /// with an actual untestability argument — structurally redundant
-    /// aborts and prover-certified records. A bare `no_path` abort used
-    /// to be excluded too, silently treating a search failure at a finite
-    /// window as a property of the design; it must stay in the
-    /// denominator.
+    /// with an actual untestability argument: the prover-certified
+    /// records. A bare `no_path` abort used to be excluded too, silently
+    /// treating a search failure at a finite window as a property of the
+    /// design; it must stay in the denominator.
     #[test]
     fn stats_separate_testable_from_overall_coverage() {
         let stats = CampaignStats {
             errors: 10,
             detected: 6,
-            aborted: 3,
-            proven_untestable: 1,
-            aborted_redundant: 2,
+            aborted: 1,
+            proven_untestable: 3,
             aborted_no_path: 1,
             ..CampaignStats::default()
         };
         assert!((stats.coverage_pct() - 60.0).abs() < 1e-9);
-        // 10 - 2 redundant - 1 proven = 7 testable; 6/7 detected. The
-        // bare no-path abort stays in the denominator.
+        // 10 - 3 proven = 7 testable; 6/7 detected. The bare no-path
+        // abort stays in the denominator.
         assert!((stats.testable_coverage_pct() - 600.0 / 7.0).abs() < 1e-9);
         let no_proof = CampaignStats {
             proven_untestable: 0,
             aborted: 4,
             ..stats.clone()
         };
-        // Without a certificate the no-path abort counts as testable:
-        // 10 - 2 redundant = 8 testable.
-        assert!((no_proof.testable_coverage_pct() - 75.0).abs() < 1e-9);
+        // Without a certificate every abort counts as testable.
+        assert!((no_proof.testable_coverage_pct() - 60.0).abs() < 1e-9);
         let empty = CampaignStats::default();
         assert_eq!(empty.coverage_pct(), 0.0);
         assert_eq!(empty.testable_coverage_pct(), 0.0);

@@ -14,12 +14,15 @@
 //!
 //! ```text
 //! {"ck": 1, "fingerprint": "<config fingerprint>"}
-//! {"ck": 1, "id": 17, "round": 0, "redundant": false, "seconds": 0.04,
+//! {"ck": 1, "id": 17, "round": 0, "seconds": 0.04,
 //!  "outcome": "detected", "length": 9, "core_len": 5, ...,
 //!  "program": [word, ...], "imem": [[addr, word], ...], "dmem": [[addr, value], ...]}
-//! {"ck": 1, "id": 18, "round": 0, "redundant": true, "seconds": 0.01,
+//! {"ck": 1, "id": 18, "round": 0, "seconds": 0.01,
 //!  "outcome": "aborted", "reason": "no_path", "failed_phase": "dptrace",
 //!  "payload": "", "backtracks": 0}
+//! {"ck": 1, "id": 19, "round": 0, "seconds": 0.00002,
+//!  "outcome": "proven_untestable", "frames": 0, "kind": "constant_line",
+//!  "value": false, "clauses": []}
 //! ```
 //!
 //! Robustness properties:
@@ -29,6 +32,9 @@
 //! * a fingerprint mismatch (the checkpoint belongs to a different
 //!   configuration) refuses to open rather than mixing incompatible
 //!   records;
+//! * a persisted untestability certificate is data, not a verdict: the
+//!   campaign re-checks each one against the design when it opens the log
+//!   ([`CheckpointLog::discard_unless`]) and regenerates any that fails;
 //! * write failures degrade to an un-checkpointed campaign with a single
 //!   warning — persistence is best-effort, results are not.
 
@@ -51,7 +57,9 @@ use std::sync::{Mutex, PoisonError, RwLock};
 pub struct CheckpointEntry {
     /// The generation outcome (reconstructed exactly on load).
     pub outcome: Outcome,
-    /// Structural-redundancy verdict at generation time.
+    /// Unused and never persisted: structural redundancy is a
+    /// `proven_untestable` outcome with a `constant_line` certificate.
+    /// Kept only for source compatibility.
     pub redundant: bool,
     /// Wall-clock seconds the original generation spent.
     pub seconds: f64,
@@ -170,10 +178,29 @@ impl CheckpointLog {
             .len()
     }
 
-    /// Corrupt/torn lines skipped at open.
+    /// Unusable lines: corrupt or torn lines skipped at open, plus entries
+    /// removed by [`CheckpointLog::discard_unless`].
     #[must_use]
     pub fn skipped_lines(&self) -> usize {
         self.skipped
+    }
+
+    /// Removes every loaded entry for which `keep(id, round, entry)` is
+    /// false, counting each as an unusable line, and returns how many were
+    /// removed. A removed entry is regenerated on lookup instead of
+    /// replayed. This is how a campaign re-checks persisted certificates
+    /// against its design before trusting them.
+    pub fn discard_unless(&mut self, keep: impl Fn(u64, u32, &CheckpointEntry) -> bool) -> usize {
+        let entries = self
+            .entries
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        let before = entries.len();
+        entries.retain(|&(id, round), entry| keep(id, round, entry));
+        let removed = before - entries.len();
+        self.resumed_at_open -= removed;
+        self.skipped += removed;
+        removed
     }
 
     /// Appends recovered after a failed write (injected or real): the
@@ -261,8 +288,7 @@ fn entry_to_json(id: u64, round: u32, e: &CheckpointEntry) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"ck\": 1, \"id\": {id}, \"round\": {round}, \"redundant\": {}, \"seconds\": {}, ",
-        e.redundant,
+        "{{\"ck\": 1, \"id\": {id}, \"round\": {round}, \"seconds\": {}, ",
         json_f64(e.seconds)
     );
     if !e.counters.is_zero() {
@@ -377,7 +403,6 @@ fn entry_to_json(id: u64, round: u32, e: &CheckpointEntry) -> String {
 fn entry_from_json(v: &Value) -> Option<((u64, u32), CheckpointEntry)> {
     let id = v.get_u64("id")?;
     let round = u32::try_from(v.get_u64("round")?).ok()?;
-    let redundant = v.get("redundant")?.as_bool()?;
     let seconds = v.get_f64("seconds")?;
     let outcome = match v.get_str("outcome")? {
         "detected" => Outcome::Detected(Box::new(test_case_from_json(v)?)),
@@ -392,7 +417,7 @@ fn entry_from_json(v: &Value) -> Option<((u64, u32), CheckpointEntry)> {
         (id, round),
         CheckpointEntry {
             outcome,
-            redundant,
+            redundant: false,
             seconds,
             counters: counters_from_json(v)?,
         },
@@ -571,7 +596,10 @@ mod tests {
         let v = jsonv::parse(&line).expect("line parses");
         let ((id, round), back) = entry_from_json(&v).expect("entry loads");
         assert_eq!((id, round), (42, 1));
-        assert_eq!(back.redundant, entry.redundant);
+        assert!(
+            !line.contains("redundant"),
+            "the inert flag is not persisted"
+        );
         assert_eq!(back.seconds, entry.seconds);
         match (&back.outcome, &entry.outcome) {
             (
@@ -664,6 +692,31 @@ mod tests {
         // And a different fingerprint refuses to open.
         let err = CheckpointLog::open(&path, "fp-2").expect_err("mismatch");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Entries a campaign refuses to trust (a certificate failing its
+    /// re-check) leave the loaded set and count as unusable lines.
+    #[test]
+    fn discarded_entries_count_as_unusable() {
+        let dir = std::env::temp_dir().join("hltg_ckpt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("discard.jsonl");
+        let _ = std::fs::remove_file(&path);
+        {
+            let log = CheckpointLog::open(&path, "fp-d").unwrap();
+            log.record(1, 0, &sample_abort());
+            log.record(2, 0, &sample_abort());
+        }
+        let mut log = CheckpointLog::open(&path, "fp-d").unwrap();
+        assert_eq!(log.discard_unless(|id, _, _| id != 2), 1);
+        assert_eq!(log.resumed(), 1);
+        assert_eq!(log.skipped_lines(), 1);
+        assert!(log.lookup(1, 0).is_some());
+        assert!(
+            log.lookup(2, 0).is_none(),
+            "a discarded entry is regenerated"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

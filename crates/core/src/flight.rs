@@ -290,8 +290,6 @@ pub struct MetricRec {
     /// Abort-reason name (`""` when detected; the proof-kind name when
     /// proven untestable).
     pub reason: &'static str,
-    /// Structurally redundant (collapse-class alias of a kept error).
-    pub redundant: bool,
     /// Covered by simulating an earlier test instead of generation.
     pub by_simulation: bool,
     /// Retry round that produced the outcome (0 = first pass).
@@ -340,7 +338,6 @@ impl MetricRec {
             detected,
             proven_untestable: proven,
             reason,
-            redundant: r.redundant,
             by_simulation: r.by_simulation,
             round: r.round,
             detected_cycle,
@@ -370,8 +367,6 @@ pub struct MetricSnap {
     pub proven_untestable: usize,
     /// Records produced by a retry round (round > 0).
     pub retried: usize,
-    /// Structurally redundant errors so far.
-    pub redundant: usize,
     /// Detected / accounted, in percent.
     pub coverage_pct: f64,
     /// Cumulative CTRLJUST decisions across generated errors.
@@ -450,9 +445,6 @@ impl MetricsTimeline {
             }
             if r.round > 0 {
                 cum.retried += 1;
-            }
-            if r.redundant {
-                cum.redundant += 1;
             }
             if let Some(e) = &r.engine {
                 cum.decisions += e.decisions;
@@ -535,7 +527,7 @@ impl MetricsTimeline {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{{\"ev\": \"meta\", \"version\": 1, \"stream\": \"metrics\", \
+            "{{\"ev\": \"meta\", \"version\": 2, \"stream\": \"metrics\", \
              \"design\": \"{}\", \"errors\": {}, \"sample_every\": {}}}",
             json_escape(&self.design),
             self.recs.len(),
@@ -546,7 +538,7 @@ impl MetricsTimeline {
                 out,
                 "{{\"ev\": \"rec\", \"error\": {}, \"stage\": {}, \"site\": \"{}\", \
                  \"class\": \"{}\", \"outcome\": \"{}\", \"reason\": \"{}\", \
-                 \"redundant\": {}, \"by_simulation\": {}, \"round\": {}, \
+                 \"by_simulation\": {}, \"round\": {}, \
                  \"detected_cycle\": {}, \"test_length\": {}",
                 r.id,
                 r.stage,
@@ -560,7 +552,6 @@ impl MetricsTimeline {
                     "aborted"
                 },
                 json_escape(r.reason),
-                r.redundant,
                 r.by_simulation,
                 r.round,
                 r.detected_cycle,
@@ -611,8 +602,7 @@ impl MetricsTimeline {
                 out,
                 "{{\"ev\": \"snap\", \"at\": {}, \"generated\": {}, \"screened\": {}, \
                  \"detected\": {}, \"aborted\": {}, \"proven_untestable\": {}, \
-                 \"retried\": {}, \
-                 \"redundant\": {}, \"coverage_pct\": {}, \"decisions\": {}, \
+                 \"retried\": {}, \"coverage_pct\": {}, \"decisions\": {}, \
                  \"backtracks\": {}",
                 s.at,
                 s.generated,
@@ -621,7 +611,6 @@ impl MetricsTimeline {
                 s.aborted,
                 s.proven_untestable,
                 s.retried,
-                s.redundant,
                 json_f64(s.coverage_pct),
                 s.decisions,
                 s.backtracks,

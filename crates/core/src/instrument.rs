@@ -180,7 +180,8 @@ pub enum Counter {
     PackedScreens,
     /// Candidate errors carried as lanes of packed screening passes.
     PackedLanes,
-    /// Untestability-prover invocations (one per aborted error probed).
+    /// Untestability-prover invocations: one per target error in the
+    /// pre-search pass, plus one per round-0 abort probed afterwards.
     ProverCalls,
     /// Three-valued implication passes spent inside prover refutations.
     ProverImplications,
@@ -189,13 +190,16 @@ pub enum Counter {
     ProverConflicts,
     /// Errors proven untestable (a checkable certificate was produced).
     ProverProofs,
+    /// Certificates that failed their re-check at a trust boundary (at
+    /// generation, or read back from a checkpoint) and were not trusted.
+    CertificatesRejected,
     /// Retry-round generation attempts actually scheduled (escalation
     /// slots consumed by aborted-but-unproven errors).
     RetryAttempts,
 }
 
 /// All counters, in reporting order.
-pub const COUNTERS: [Counter; 26] = [
+pub const COUNTERS: [Counter; 27] = [
     Counter::DptraceCalls,
     Counter::DptraceSteps,
     Counter::DptraceModulesOnPath,
@@ -221,6 +225,7 @@ pub const COUNTERS: [Counter; 26] = [
     Counter::ProverImplications,
     Counter::ProverConflicts,
     Counter::ProverProofs,
+    Counter::CertificatesRejected,
     Counter::RetryAttempts,
 ];
 
@@ -253,6 +258,7 @@ impl Counter {
             Counter::ProverImplications => "prover_implications",
             Counter::ProverConflicts => "prover_conflicts",
             Counter::ProverProofs => "prover_proofs",
+            Counter::CertificatesRejected => "certificates_rejected",
             Counter::RetryAttempts => "retry_attempts",
         }
     }
@@ -342,7 +348,11 @@ impl CounterDelta {
 pub struct SpanEnd {
     /// A simulation-confirmed test was generated.
     pub detected: bool,
-    /// Abort-reason name (`""` when detected).
+    /// The prover certified the error untestable before any search; no
+    /// phase ran.
+    pub proven: bool,
+    /// Abort-reason name (`""` when detected; the proof-kind name when
+    /// proven).
     pub reason: &'static str,
     /// Name of the phase that exhausted the budget (`""` when detected).
     pub failed_phase: &'static str,

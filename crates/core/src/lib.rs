@@ -66,7 +66,9 @@ pub use checkpoint::{CheckpointEntry, CheckpointLog};
 pub use flight::{FlightRecorder, MetricsTimeline};
 pub use ctrljust::CtrlJustMemo;
 pub use instrument::{Counter, Counters, MultiProbe, Phase, Probe, SpanEnd, StepBudget, NO_PROBE};
-pub use prover::{prove_untestable, ConflictClause, ProofKind, ProveConfig, UntestableProof};
+pub use prover::{
+    prove_invariant, prove_untestable, ConflictClause, ProofKind, ProveConfig, UntestableProof,
+};
 pub use rng::SplitMix64;
 pub use tg::{AbortReason, Outcome, TestGenerator, TgConfig};
 pub use trace::{LogHistogram, TraceSnapshot, Tracer};

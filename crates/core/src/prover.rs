@@ -40,6 +40,12 @@
 //!    checkable certificate. These proofs are **bounded**: they show no
 //!    activating/propagating sequence exists within `k` frames.
 //!
+//! Layers 1–2 are frame-independent and form [`prove_invariant`], which
+//! takes the design's [`invariant_bits`] precomputed once: the campaign
+//! runs it on every target error *before* any search, so an error it
+//! certifies never reaches DPTRACE. [`prove_untestable`] runs all three
+//! layers; the campaign applies it to every round-0 abort.
+//!
 //! Soundness discipline throughout: every condition posed for refutation
 //! is *necessary* for detection (dropping unconstrainable conjuncts keeps
 //! it necessary), free inputs over-approximate what the real environment
@@ -219,7 +225,38 @@ fn subsumes(clause: &[(u32, u32, bool)], objs: &[(u32, u32, bool)]) -> bool {
     clause.iter().all(|o| objs.binary_search(o).is_ok())
 }
 
-/// Tries to prove `error` untestable. Returns `None` whenever any doubt
+/// The frame-independent layers alone (constant-line invariants, then
+/// propagation-cone silence) against precomputed invariant bits `kb` of
+/// `design`. Cheap enough to run on every error before any search:
+/// [`invariant_bits`] is computed once per design, after which a call
+/// costs one lookup plus one cone walk. Every returned proof has
+/// `frames == 0` and passes [`UntestableProof::check`].
+#[must_use]
+pub fn prove_invariant(
+    design: &Design,
+    kb: &KnownBits,
+    error: &BusSslError,
+) -> Option<UntestableProof> {
+    let invariant = |kind| UntestableProof {
+        frames: 0,
+        kind,
+        clauses: Vec::new(),
+    };
+    // Layer 1: the line always carries the stuck value.
+    let stuck = stuck_value(error.polarity);
+    if kb.known_value(error.net, error.bit) == Some(stuck) {
+        return Some(invariant(ProofKind::ConstantLine { value: stuck }));
+    }
+    // Layer 2: no fanout edge of the stuck line can carry the fault to
+    // an observable point.
+    fanout_conditions(design, kb, error)?
+        .is_empty()
+        .then(|| invariant(ProofKind::NoPropagationPath))
+}
+
+/// Tries to prove `error` untestable with every layer: the invariant
+/// layers of [`prove_invariant`], then bounded controller refutation of
+/// the remaining fanout conditions. Returns `None` whenever any doubt
 /// remains — every returned proof passes [`UntestableProof::check`].
 pub fn prove_untestable(
     design: &Design,
@@ -229,30 +266,14 @@ pub fn prove_untestable(
 ) -> Option<UntestableProof> {
     probe.add(Counter::ProverCalls, 1);
     let kb = invariant_bits(design);
-
-    // Layer 1: the line always carries the stuck value.
-    let stuck = stuck_value(error.polarity);
-    if kb.known_value(error.net, error.bit) == Some(stuck) {
+    if let Some(proof) = prove_invariant(design, &kb, error) {
         probe.add(Counter::ProverProofs, 1);
-        return Some(UntestableProof {
-            frames: 0,
-            kind: ProofKind::ConstantLine { value: stuck },
-            clauses: Vec::new(),
-        });
+        return Some(proof);
     }
 
-    // Layers 2+3: kill every fanout edge of the stuck line, structurally
-    // where possible, by bounded controller refutation where a necessary
-    // control condition exists.
+    // Layer 3: kill every remaining fanout edge by bounded controller
+    // refutation of its necessary control condition.
     let conds = fanout_conditions(design, &kb, error)?;
-    if conds.is_empty() {
-        probe.add(Counter::ProverProofs, 1);
-        return Some(UntestableProof {
-            frames: 0,
-            kind: ProofKind::NoPropagationPath,
-            clauses: Vec::new(),
-        });
-    }
     let frames = cfg.frames.max(1);
     let queries = expand_over_frames(conds, frames);
     let mut learned: Vec<Vec<(u32, u32, bool)>> = Vec::new();

@@ -370,6 +370,7 @@ impl<'d> TestGenerator<'d> {
                             id,
                             SpanEnd {
                                 detected: true,
+                                proven: false,
                                 reason: "",
                                 failed_phase: "",
                                 test_length: test.length,
@@ -415,6 +416,7 @@ impl<'d> TestGenerator<'d> {
             id,
             SpanEnd {
                 detected: false,
+                proven: false,
                 reason: last_reason.name(),
                 failed_phase: last_reason.phase_name(),
                 test_length: 0,

@@ -182,7 +182,10 @@ pub struct ErrorSpan {
     pub site: String,
     /// `true` when a confirmed test was generated.
     pub detected: bool,
-    /// Abort-reason name (`""` when detected).
+    /// `true` when the prover certified the error before any search.
+    pub proven: bool,
+    /// Abort-reason name (`""` when detected; the proof-kind name when
+    /// proven).
     pub reason: &'static str,
     /// Phase that exhausted the budget (`""` when detected).
     pub failed_phase: &'static str,
@@ -278,6 +281,7 @@ impl SpanBuilder {
             stage: self.stage,
             site: self.site,
             detected: end.detected,
+            proven: end.proven,
             reason: end.reason,
             failed_phase: end.failed_phase,
             variants: self.variants,
@@ -599,10 +603,17 @@ impl TraceSnapshot {
         self.spans.iter().filter(|s| s.detected).count()
     }
 
+    /// Errors the prover certified before any search, among the kept
+    /// spans.
+    #[must_use]
+    pub fn proven(&self) -> usize {
+        self.spans.iter().filter(|s| s.proven).count()
+    }
+
     /// Aborts among the kept spans.
     #[must_use]
     pub fn aborted(&self) -> usize {
-        self.spans.len() - self.detected()
+        self.spans.len() - self.detected() - self.proven()
     }
 
     /// Total wall-clock nanoseconds spent in `p` across all spans.
@@ -629,7 +640,7 @@ impl TraceSnapshot {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{{\"ev\": \"meta\", \"version\": 1, \"generator\": \"hltg\", \
+            "{{\"ev\": \"meta\", \"version\": 2, \"generator\": \"hltg\", \
              \"errors\": {}, \"spans\": {}}}",
             self.total_errors,
             self.spans.len()
@@ -646,7 +657,11 @@ impl TraceSnapshot {
                 s.id,
                 s.stage,
                 json_escape(&s.site),
-                if s.detected { "detected" } else { "aborted" },
+                match (s.detected, s.proven) {
+                    (true, _) => "detected",
+                    (false, true) => "proven_untestable",
+                    (false, false) => "aborted",
+                },
                 json_escape(s.reason),
                 json_escape(s.failed_phase),
                 s.variants,
@@ -710,11 +725,13 @@ impl TraceSnapshot {
         let _ = write!(
             out,
             "{{\"ev\": \"summary\", \"errors\": {}, \"spans\": {}, \
-             \"detected\": {}, \"aborted\": {}, \"screened\": {}",
+             \"detected\": {}, \"aborted\": {}, \"proven_untestable\": {}, \
+             \"screened\": {}",
             self.total_errors,
             self.spans.len(),
             self.detected(),
             self.aborted(),
+            self.proven(),
             self.screened
         );
         if timing {
@@ -850,6 +867,7 @@ mod tests {
             7,
             SpanEnd {
                 detected: true,
+                proven: false,
                 reason: "",
                 failed_phase: "",
                 test_length: 7,
@@ -885,6 +903,7 @@ mod tests {
                 id,
                 SpanEnd {
                     detected: false,
+                    proven: false,
                     reason: "no_path",
                     failed_phase: "dptrace",
                     test_length: 0,
@@ -908,6 +927,7 @@ mod tests {
             0,
             SpanEnd {
                 detected: true,
+                proven: false,
                 reason: "",
                 failed_phase: "",
                 test_length: 3,

@@ -33,6 +33,7 @@ use hltg_core::{
     ShardControl, ShardObserver,
 };
 use crate::build_model;
+use hltg_errors::BusSslError;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -624,41 +625,52 @@ fn finalize_job(shared: &Arc<Shared>, me: usize, job_id: u64) {
 }
 
 /// The partial report of a degraded or cancelled job: one record per
-/// target error whose round-0 generation made it into the checkpoint,
-/// with the retry chain walked exactly as the merge's retry pass would
-/// have. No generation runs — this is pure bookkeeping over persisted
-/// entries, so a crash-looping job still terminates promptly.
+/// target error whose round-0 outcome made it into the checkpoint, with
+/// the retry chain walked exactly as the merge's retry pass would have.
+/// No generation runs — this is pure bookkeeping over persisted entries,
+/// so a crash-looping job still terminates promptly. A persisted
+/// certificate is trusted only if it re-checks against the design, the
+/// same test the finalizing merge applies when it opens the checkpoint;
+/// one that fails leaves its error out, like a missing entry.
 fn partial_report(
     model: &dyn hltg_netlist::ProcessorModel,
     config: &CampaignConfig,
     ckpt: &CheckpointLog,
 ) -> (String, usize) {
     let errors = Campaign::target_errors(model, config);
+    let certified = |error: &BusSslError, outcome: &Outcome| match outcome {
+        Outcome::ProvenUntestable(proof) => proof.check(model.design(), error),
+        _ => true,
+    };
     let mut records = Vec::new();
     for error in &errors {
         let id = u64::from(error.id.0);
-        let Some(e0) = ckpt.lookup(id, 0) else {
+        let Some(e0) = ckpt
+            .lookup(id, 0)
+            .filter(|e0| certified(error, &e0.outcome))
+        else {
             continue;
         };
         let mut outcome = e0.outcome;
         let mut seconds = e0.seconds;
         let mut round = 0u32;
-        if !e0.redundant {
-            while round < config.retry.rounds && !outcome.is_detected() {
-                match ckpt.lookup(id, round + 1) {
-                    Some(er) => {
-                        round += 1;
-                        seconds += er.seconds;
-                        outcome = er.outcome;
-                    }
-                    None => break,
+        while round < config.retry.rounds
+            && !outcome.is_detected()
+            && !outcome.is_proven_untestable()
+        {
+            match ckpt.lookup(id, round + 1) {
+                Some(er) => {
+                    round += 1;
+                    seconds += er.seconds;
+                    outcome = er.outcome;
                 }
+                None => break,
             }
         }
         records.push(ErrorRecord {
             error: error.clone(),
             outcome,
-            redundant: e0.redundant,
+            redundant: false,
             by_simulation: false,
             seconds,
             round,

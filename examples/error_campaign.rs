@@ -33,15 +33,9 @@ fn main() {
                 "  {}: detected, {} instructions ({} non-NOP), variant {}",
                 record.error, tc.length, tc.core_len, tc.variant
             ),
-            Outcome::Aborted { reason, .. } => println!(
-                "  {}: aborted ({reason:?}{})",
-                record.error,
-                if record.redundant {
-                    ", provably redundant"
-                } else {
-                    ""
-                }
-            ),
+            Outcome::Aborted { reason, .. } => {
+                println!("  {}: aborted ({reason:?})", record.error)
+            }
             Outcome::ProvenUntestable(proof) => println!(
                 "  {}: proven untestable ({}, k={})",
                 record.error,

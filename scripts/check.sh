@@ -119,46 +119,43 @@ cmp target/metrics_t1.jsonl target/metrics_t2.jsonl || {
 ./target/release/campaign_report --check target/metrics_chaos.jsonl
 
 echo "== untestability-prover smoke (certified proofs + coverage accounting)"
-# The prover must certify errors on the classic design, leave detections
-# untouched, only *reclassify* aborts (never invent outcomes), keep
-# certified errors out of the retry rounds, and emit a metrics stream
-# campaign_report accepts.
-./target/release/table1 80 --threads 2 --retry 1 --prove-untestable \
-    --metrics-out target/prove_metrics.jsonl \
-    --json > target/prove_on_smoke.json
+# The prover always runs: it must certify errors on the classic design,
+# leave detections untouched, only *reclassify* aborts (never invent
+# outcomes), keep certified errors out of the retry rounds, and emit a
+# metrics stream campaign_report accepts. Without a prover switch there
+# is no prover-free run to compare against, so the prover-free outcome
+# of this exact command is pinned: detected 60, aborted 20, and 14 retry
+# attempts (the certified errors never consumed any).
 ./target/release/table1 80 --threads 2 --retry 1 \
-    --json > target/prove_off_smoke.json
-grep -q '"proven_untestable": [1-9]' target/prove_on_smoke.json || {
-    echo "--prove-untestable certified nothing at limit 80" >&2
-    exit 1
-}
-grep -q '"proven_untestable": 0' target/prove_off_smoke.json || {
-    echo "prover ran without --prove-untestable" >&2
-    exit 1
-}
+    --metrics-out target/prove_metrics.jsonl \
+    --json > target/prove_smoke.json
 num_of() { grep -o "\"$2\": [0-9]*" "$1" | head -1 | sed 's/[^0-9]//g'; }
-det_on="$(num_of target/prove_on_smoke.json detected)"
-det_off="$(num_of target/prove_off_smoke.json detected)"
-[ -n "$det_on" ] && [ "$det_on" = "$det_off" ] || {
-    echo "proving changed detections: '$det_on' vs '$det_off'" >&2
+det="$(num_of target/prove_smoke.json detected)"
+ab="$(num_of target/prove_smoke.json aborted)"
+pv="$(num_of target/prove_smoke.json proven_untestable)"
+ra="$(num_of target/prove_smoke.json retry_attempts)"
+[ -n "$pv" ] && [ "$pv" -ge 1 ] || {
+    echo "the prover certified nothing at limit 80" >&2
     exit 1
 }
-ab_on="$(num_of target/prove_on_smoke.json aborted)"
-pv_on="$(num_of target/prove_on_smoke.json proven_untestable)"
-ab_off="$(num_of target/prove_off_smoke.json aborted)"
-[ "$((ab_on + pv_on))" -eq "$ab_off" ] || {
-    echo "proofs invented outcomes: aborted $ab_on + proven $pv_on != $ab_off" >&2
+[ "$det" = 60 ] || {
+    echo "proving changed detections: $det, prover-free 60" >&2
     exit 1
 }
-# Certified errors consume no retry slots (on the classic design they are
-# structurally redundant, which the retry filter already skips — the
-# counter must agree either way).
-ra_on="$(num_of target/prove_on_smoke.json retry_attempts)"
-ra_off="$(num_of target/prove_off_smoke.json retry_attempts)"
-[ "$ra_on" = "$ra_off" ] || {
-    echo "proven errors consumed retry slots: $ra_on vs $ra_off" >&2
+[ "$((ab + pv))" -eq 20 ] || {
+    echo "proofs invented outcomes: aborted $ab + proven $pv != prover-free 20" >&2
     exit 1
 }
+[ "$ra" = 14 ] || {
+    echo "proven errors consumed retry slots: $ra, prover-free 14" >&2
+    exit 1
+}
+# Structural redundancy is one kind of certificate now, not a second
+# aborted category.
+if grep -q '"aborted_redundant"' target/prove_smoke.json; then
+    echo "the report still carries aborted_redundant" >&2
+    exit 1
+fi
 ./target/release/campaign_report --check target/prove_metrics.jsonl
 
 echo "== bench gate (bench_diff self-test + committed baselines)"

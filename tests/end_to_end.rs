@@ -7,7 +7,9 @@
 //! ISA reference simulator — the implementation-vs-specification comparison
 //! that defines design verification.
 
-use hltg::core::{Outcome, TestGenerator, TgConfig};
+use hltg::core::{
+    Campaign, CampaignConfig, Outcome, ProofKind, RunOptions, TestGenerator, TgConfig,
+};
 use hltg::dlx::{DlxDesign, DlxModel};
 use hltg::errors::{enumerate_stage_errors, EnumPolicy};
 use hltg::isa::ref_sim::ArchSim;
@@ -107,25 +109,49 @@ fn generated_tests_keep_good_machine_architecturally_correct() {
     assert!(checked >= 10, "only {checked} tests cross-checked");
 }
 
-/// Aborted errors stay aborted for a reason: provably redundant,
-/// observable only through the controller, or a search-budget artifact
-/// that an escalated budget (what the campaign's retry rounds apply)
-/// recovers into a detection.
+/// No error is aborted without a reason. A structurally redundant error
+/// never aborts at all: the campaign certifies it as `ProvenUntestable`
+/// with a constant-line proof before any search runs. An aborted error is
+/// observable only through the controller, or is a search-budget
+/// artifact that an escalated budget (what the campaign's retry rounds
+/// apply) recovers into a detection; the escalation is checked on the
+/// first 36 errors.
 #[test]
 fn aborts_are_explained() {
     let model = DlxModel::new();
     let dlx = model.inner();
-    let errors = enumerate_stage_errors(
-        &dlx.design,
-        &ex_mem_wb(),
-        EnumPolicy::RepresentativePerBus,
-    );
-    let mut tg = TestGenerator::new(&model, TgConfig::default());
-    for error in errors.iter().take(36) {
-        if let Outcome::Aborted { reason, .. } = tg.generate(error) {
-            let redundant = hltg::errors::is_structurally_redundant(&dlx.design, error);
-            let control_only = reason == hltg::core::tg::AbortReason::NoPath;
-            if redundant || control_only {
+    // Error simulation only skips generation for errors an earlier test
+    // detects; every abort is still generated with the default budgets.
+    let campaign = Campaign::run(
+        &model,
+        &CampaignConfig {
+            error_simulation: true,
+            ..CampaignConfig::default()
+        },
+        RunOptions::default(),
+    )
+    .campaign;
+    let mut redundant = 0;
+    for (i, record) in campaign.records.iter().enumerate() {
+        let error = &record.error;
+        if hltg::errors::is_structurally_redundant(&dlx.design, error) {
+            redundant += 1;
+            assert!(
+                matches!(
+                    &record.outcome,
+                    Outcome::ProvenUntestable(proof)
+                        if matches!(proof.kind, ProofKind::ConstantLine { .. })
+                ),
+                "{error}: structurally redundant but not proven by a constant line: {:?}",
+                record.outcome
+            );
+            continue;
+        }
+        if i >= 36 {
+            continue;
+        }
+        if let Outcome::Aborted { reason, .. } = &record.outcome {
+            if *reason == hltg::core::tg::AbortReason::NoPath {
                 continue;
             }
             // Default budgets can strand a testable error on an unlucky
@@ -140,11 +166,15 @@ fn aborts_are_explained() {
             let mut tg2 = TestGenerator::new(&model, escalated);
             assert!(
                 matches!(tg2.generate(error), Outcome::Detected(_)),
-                "{error}: aborted with {reason:?} but is neither redundant, \
-                 control-only, nor recoverable under an escalated budget"
+                "{error}: aborted with {reason:?} but is neither control-only \
+                 nor recoverable under an escalated budget"
             );
         }
     }
+    assert!(
+        redundant > 0,
+        "the dlx population has structurally redundant errors"
+    );
 }
 
 /// The generator handles arbitrary line positions, not just the

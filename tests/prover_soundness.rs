@@ -16,7 +16,6 @@ fn certified_proofs_are_sound_on_dlx_lite() {
     let run = Campaign::run(
         model.as_ref(),
         &CampaignConfig {
-            prove_untestable: true,
             retry: RetryPolicy {
                 rounds,
                 escalate: 2,
@@ -104,15 +103,15 @@ fn certified_proofs_are_sound_on_dlx_lite() {
         .iter()
         .map(|r| match &r.outcome {
             Outcome::Detected(_) => u64::from(r.round),
-            Outcome::Aborted { .. } if !r.redundant => u64::from(rounds),
+            Outcome::Aborted { .. } => u64::from(rounds),
             _ => 0,
         })
         .sum();
     assert_eq!(
         run.report.counters.count("retry_attempts"),
         owed,
-        "retry attempts disagree with the records — a proven or redundant \
-         error consumed a retry slot"
+        "retry attempts disagree with the records — a proven error \
+         consumed a retry slot"
     );
     assert_eq!(
         run.report.counters.count("prover_proofs") as usize,

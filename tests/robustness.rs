@@ -489,10 +489,11 @@ fn checkpoint_resume_replays_counter_totals() {
 
 /// Certified untestability proofs persist: a checkpointed campaign's
 /// `proven_untestable` entries survive the kill/resume round trip. The
-/// resumed run restores certificates bit for bit from the file (through
-/// the JSONL serialization), and a full replay reproduces the counter
-/// totals exactly — the prover deltas replay with their entries, and
-/// nothing is re-proven on top of them.
+/// resumed run ends with certificates bit for bit equal to the
+/// uninterrupted run's, and a full replay reproduces the counter totals
+/// exactly — the pre-search prover pass costs the same on every run, the
+/// deltas of generated errors replay with their entries, and nothing is
+/// proven twice on top of them.
 #[test]
 fn checkpoint_resume_preserves_proofs() {
     let lite = build_model("dlx-lite").expect("registered backend");
@@ -501,7 +502,6 @@ fn checkpoint_resume_preserves_proofs() {
         let mut config = CampaignConfig {
             limit: Some(limit),
             num_threads: 1,
-            prove_untestable: true,
             checkpoint: checkpoint.then(|| path.clone()),
             ..CampaignConfig::default()
         };
@@ -530,7 +530,12 @@ fn checkpoint_resume_preserves_proofs() {
     let partial = Campaign::run(lite.as_ref(), &config(60, true), RunOptions::default());
     assert!(
         partial.report.stats.proven_untestable >= 1,
-        "the partial run must persist at least one proof"
+        "the partial run must certify at least one error"
+    );
+    let persisted = std::fs::read_to_string(&path).expect("checkpoint written");
+    assert!(
+        persisted.contains("\"outcome\": \"proven_untestable\""),
+        "the partial run must persist its certificates"
     );
     // ...resumed to completion: stats match the uninterrupted reference
     // and every certificate — restored or freshly proven — is identical.
@@ -546,7 +551,8 @@ fn checkpoint_resume_preserves_proofs() {
     );
     // A full replay regenerates nothing: the proofs round-trip through
     // the JSONL file once more, and the counter totals — prover counters
-    // included — replay exactly. Re-proving would inflate them.
+    // included — replay exactly. Proving an error twice would inflate
+    // them.
     let replayed = Campaign::run(lite.as_ref(), &config(67, true), RunOptions::default());
     assert_eq!(proofs(&replayed.campaign), proofs(&resumed.campaign));
     assert_eq!(
@@ -557,6 +563,91 @@ fn checkpoint_resume_preserves_proofs() {
         replayed.report.counters.count("prover_calls") > 0,
         "the replayed totals must still carry the recorded prover work"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint read back from disk is a trust boundary: every persisted
+/// certificate is re-checked against the design before the campaign
+/// trusts it. A corrupted certificate, and a forged one that would turn
+/// an abort into "untestable" and shrink the testable-coverage
+/// denominator, each count as one unusable entry and are regenerated;
+/// the resumed report stays byte-identical to the uninterrupted run.
+#[test]
+fn tampered_certificates_are_regenerated_on_resume() {
+    let lite = build_model("dlx-lite").expect("registered backend");
+    let path = temp_checkpoint("tamper");
+    // Limit 57 reaches `set_seq.y[16]:sa0` (error 56), a constant line
+    // the prover certifies before any search. Error simulation keeps the
+    // generation work small.
+    let config = CampaignConfig {
+        limit: Some(57),
+        error_simulation: true,
+        num_threads: 2,
+        checkpoint: Some(path.clone()),
+        ..CampaignConfig::default()
+    };
+    let outcomes = |c: &Campaign| {
+        c.records
+            .iter()
+            .map(|r| format!("{:?}", r.outcome))
+            .collect::<Vec<_>>()
+    };
+    let uninterrupted = Campaign::run(lite.as_ref(), &config, RunOptions::default());
+    assert!(uninterrupted.report.stats.proven_untestable >= 1);
+    assert!(uninterrupted.report.stats.aborted >= 1);
+    let rewrite = |edit: &dyn Fn(&str) -> Option<String>| {
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        let mut done = false;
+        let lines: Vec<String> = text
+            .lines()
+            .map(|line| match (done, edit(line)) {
+                (false, Some(tampered)) => {
+                    done = true;
+                    tampered
+                }
+                _ => line.to_string(),
+            })
+            .collect();
+        assert!(done, "no line to tamper with");
+        std::fs::write(&path, lines.join("\n") + "\n").expect("checkpoint rewritable");
+    };
+    let resume_and_compare = |what: &str| {
+        let resumed = Campaign::run(lite.as_ref(), &config, RunOptions::default());
+        assert_eq!(
+            resumed.report.to_json_deterministic(),
+            uninterrupted.report.to_json_deterministic(),
+            "{what}: the resumed report diverges"
+        );
+        assert_eq!(
+            outcomes(&resumed.campaign),
+            outcomes(&uninterrupted.campaign),
+            "{what}: a certificate was trusted instead of regenerated"
+        );
+        assert_eq!(
+            resumed.report.counters.count("certificates_rejected"),
+            1,
+            "{what}: exactly one unusable entry"
+        );
+    };
+    // Corrupt a persisted constant-line certificate: the claimed value
+    // no longer equals the stuck value.
+    rewrite(&|line| {
+        (line.contains("\"kind\": \"constant_line\"") && line.contains("\"value\": false"))
+            .then(|| line.replace("\"value\": false", "\"value\": true"))
+    });
+    resume_and_compare("corrupted certificate");
+    // Forge a certificate onto an aborted error's entry. The regenerated
+    // certificate above superseded the corrupt line, so again exactly
+    // one entry is unusable.
+    rewrite(&|line| {
+        let at = line.find("\"outcome\": \"aborted\"")?;
+        Some(format!(
+            "{}\"outcome\": \"proven_untestable\", \"frames\": 0, \
+             \"kind\": \"no_propagation_path\", \"clauses\": []}}",
+            &line[..at]
+        ))
+    });
+    resume_and_compare("forged certificate");
     let _ = std::fs::remove_file(&path);
 }
 
